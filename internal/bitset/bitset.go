@@ -28,6 +28,19 @@ func wordsFor(size uint64) int {
 	return int((size + wordBits - 1) / wordBits)
 }
 
+// FromWords returns a set of size bits backed by words — bit i in word i/64
+// at position i%64 — taking ownership of the slice. Bits at or beyond size
+// are cleared. words must hold exactly the words size needs; anything else
+// is a caller bug and panics.
+func FromWords(size uint64, words []uint64) *BitSet {
+	if len(words) != wordsFor(size) {
+		panic(fmt.Sprintf("bitset: %d words for a %d-bit set, want %d", len(words), size, wordsFor(size)))
+	}
+	b := &BitSet{size: size, words: words}
+	b.trimTail()
+	return b
+}
+
 // Size returns the number of bits the set holds (the filter size m).
 func (b *BitSet) Size() uint64 { return b.size }
 

@@ -114,6 +114,29 @@ func TestSetAllAndReset(t *testing.T) {
 	}
 }
 
+// FromWords adopts the words as given, clearing only the bits past size so
+// Weight and Equal stay canonical; a word count that does not match size
+// is a caller bug and panics.
+func TestFromWords(t *testing.T) {
+	b := FromWords(70, []uint64{1 << 63, ^uint64(0)})
+	if !b.Test(63) || !b.Test(69) || b.Weight() != 7 {
+		t.Fatalf("FromWords(70): weight %d, want bit 63 plus the 6 tail bits", b.Weight())
+	}
+	want := New(70)
+	for _, i := range []uint64{63, 64, 65, 66, 67, 68, 69} {
+		want.Set(i)
+	}
+	if !b.Equal(want) {
+		t.Fatal("FromWords kept bits past size")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromWords accepted 1 word for a 70-bit set")
+		}
+	}()
+	FromWords(70, []uint64{0})
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	b := New(128)
 	b.Set(3)

@@ -145,10 +145,11 @@ func (e EnvelopeInfo) shardBlobLen() uint64 {
 	return 8 + 8*((e.ShardBits+63)/64)
 }
 
-// EnvelopeSize returns the total envelope size in bytes the header implies —
-// what a receiver must buffer before decoding.
+// EnvelopeSize returns the total envelope size in bytes the geometry
+// implies — what a receiver must buffer before decoding, and what a sender
+// weighs a delta frame against.
 func (e EnvelopeInfo) EnvelopeSize() int {
-	return EnvelopeHeaderLen + int(e.PayloadLen) + envelopeTrailerLen
+	return EnvelopeHeaderLen + e.Shards*int(e.shardBlobLen()) + envelopeTrailerLen
 }
 
 // DecodeEnvelopeInfo validates and decodes the fixed header. Geometry and

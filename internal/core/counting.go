@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	mathbits "math/bits"
 	"sync/atomic"
 
 	"evilbloom/internal/bitset"
@@ -244,7 +245,7 @@ func (c *Counting) TestIndexes(idx []uint64) bool {
 // word size, so no counter ever straddles two words. Widths 1, 2, 4, 8 and
 // 16 qualify; a straddling width would let a lock-free reader observe half
 // of a two-word counter update.
-func (c *Counting) AtomicReads() bool { return 64%c.counters.width == 0 }
+func (c *Counting) AtomicReads() bool { return c.counters.aligned() }
 
 // TestIndexesAtomic is TestIndexes with atomic counter loads — callable with
 // no lock held while a serialized writer mutates through the atomic paths.
@@ -281,11 +282,25 @@ func (c *Counting) CounterMax() uint64 { return c.counters.max() }
 // is set iff counter i is non-zero. This is the shape a Squid-style cache
 // digest of a counting filter travels in — membership answers are identical
 // to the source filter's, at one bit per position instead of the counter
-// width. Callers export digests under a lock, so zero storage words are
-// skipped a whole word at a time: a sparse filter is scanned in ~m·width/64
-// word reads, not m counter extractions.
+// width. When the width divides 64 the projection runs a storage word at a
+// time (foldLanes, gatherLanes): w counter words fill one digest word.
+// Widths that straddle words extract counters one by one, skipping zero
+// storage words whole, so a sparse filter still costs ~m·width/64 word
+// reads.
 func (c *Counting) OccupancyBits() *bitset.BitSet {
 	m := c.M()
+	if c.counters.aligned() {
+		// Counter word j holds counters j·64/w onward, so its gathered lane
+		// bits land in digest word j/w at bit (j mod w)·64/w. Lanes past
+		// the last counter land past bit m, which FromWords clears.
+		w := c.counters.width
+		lanes := 64 / w
+		out := make([]uint64, (m+63)/64)
+		for j, x := range c.counters.words {
+			out[j*lanes/64] |= gatherLanes(w, foldLanes(w, x)) << uint(j*lanes%64)
+		}
+		return bitset.FromWords(m, out)
+	}
 	bits := bitset.New(m)
 	w := uint64(c.counters.width)
 	for i := uint64(0); i < m; {
@@ -313,15 +328,24 @@ func (c *Counting) OccupancyBits() *bitset.BitSet {
 	return bits
 }
 
-// Weight returns the number of non-zero counters.
+// Weight returns the number of non-zero counters: the popcount of the lane
+// mask OccupancyBits gathers, when the width divides 64.
 func (c *Counting) Weight() uint64 {
-	var w uint64
+	var n int
+	if c.counters.aligned() {
+		w, words := c.counters.width, c.counters.words
+		last := len(words) - 1
+		for _, x := range words[:last] {
+			n += mathbits.OnesCount64(foldLanes(w, x))
+		}
+		return uint64(n + mathbits.OnesCount64(foldLanes(w, words[last])&c.counters.tailMask()))
+	}
 	for i := uint64(0); i < c.M(); i++ {
 		if c.counters.get(i) != 0 {
-			w++
+			n++
 		}
 	}
-	return w
+	return uint64(n)
 }
 
 // Fill returns Weight/m.
@@ -453,6 +477,70 @@ func (p *packedCounters) set(i uint64, v uint64) {
 		loMask := uint64(1)<<rem - 1
 		p.words[word+1] = p.words[word+1]&^loMask | v>>(uint64(p.width)-rem)
 	}
+}
+
+// aligned reports whether the width divides 64 — widths 1, 2, 4, 8 and 16
+// — so every storage word holds 64/w whole counters ("lanes"), lane l in
+// bits l·w … l·w+w−1, and no counter straddles two words.
+func (p *packedCounters) aligned() bool { return 64%p.width == 0 }
+
+// foldLanes ORs each w-bit lane of x onto the lane's low bit (log2(w)
+// shifts) and clears every other bit: bit l·w of the result is set iff
+// lane l is non-zero. w must divide 64.
+func foldLanes(w int, x uint64) uint64 {
+	switch w {
+	case 2:
+		return (x | x>>1) & 0x5555555555555555
+	case 4:
+		x |= x >> 1
+		return (x | x>>2) & 0x1111111111111111
+	case 8:
+		x |= x >> 1
+		x |= x >> 2
+		return (x | x>>4) & 0x0101010101010101
+	case 16:
+		x |= x >> 1
+		x |= x >> 2
+		x |= x >> 4
+		return (x | x>>8) & 0x0001000100010001
+	}
+	return x
+}
+
+// gatherLanes packs the lane bits of a folded word — one every w bits —
+// into its low 64/w bits in lane order. Each rung of the ladder closes the
+// gap between neighbouring runs of gathered bits, doubling their length.
+func gatherLanes(w int, x uint64) uint64 {
+	switch w {
+	case 2:
+		x = (x | x>>1) & 0x3333333333333333
+		x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+		x = (x | x>>4) & 0x00ff00ff00ff00ff
+		x = (x | x>>8) & 0x0000ffff0000ffff
+		return (x | x>>16) & 0x00000000ffffffff
+	case 4:
+		x = (x | x>>3) & 0x0303030303030303
+		x = (x | x>>6) & 0x000f000f000f000f
+		x = (x | x>>12) & 0x000000ff000000ff
+		return (x | x>>24) & 0x000000000000ffff
+	case 8:
+		x = (x | x>>7) & 0x0003000300030003
+		x = (x | x>>14) & 0x0000000f0000000f
+		return (x | x>>28) & 0x00000000000000ff
+	case 16:
+		x = (x | x>>15) & 0x0000000300000003
+		return (x | x>>30) & 0x000000000000000f
+	}
+	return x
+}
+
+// tailMask covers the bits of the last storage word that hold counters: a
+// restored snapshot may carry bits past them that no counter owns.
+func (p *packedCounters) tailMask() uint64 {
+	if used := p.m * uint64(p.width) % 64; used != 0 {
+		return 1<<used - 1
+	}
+	return ^uint64(0)
 }
 
 // getAtomic is get with atomic word loads. Torn-free only for widths that

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -123,6 +124,60 @@ func TestDigestETagAcrossDeltaPath(t *testing.T) {
 	// And a delta-incapable fetch still works exactly as before.
 	if _, _, code := getDigest(t, ts.URL, "d", ""); code != http.StatusOK {
 		t.Fatalf("plain fetch: status %d", code)
+	}
+}
+
+// A delta frame costs 16 bytes per changed word against the envelope's 8,
+// so under dense churn the exchange ships the full envelope instead — and
+// still advances its baseline, so the next sparse change rides a delta
+// against the envelope just served.
+func TestDigestDenseChurnShipsFullEnvelope(t *testing.T) {
+	ts, reg := newRegistryTestServer(t)
+	// 2 shards × 2^14 counters: a 4204-byte envelope, above the size under
+	// which every matching ACK earns a delta.
+	doJSON(t, "PUT", ts.URL+"/v2/filters/c", FilterSpec{
+		Variant: "counting", Shards: 2, ShardBits: 1 << 14, HashCount: 4, Seed: 11,
+	}, nil)
+	f, err := reg.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(have string) ([]byte, http.Header) {
+		t.Helper()
+		body, hdr, code := getDigestMesh(t, ts.URL, "c", map[string]string{
+			service.HeaderDigestDelta: "1",
+			service.HeaderDigestHave:  have,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("digest fetch: status %d", code)
+		}
+		return body, hdr
+	}
+	item := func(i int) []byte { return []byte(fmt.Sprintf("churn-%d", i)) }
+	for i := 0; i < 500; i++ {
+		f.Store().Add(item(i))
+	}
+	env, hdr := fetch("")
+	fullLen := len(env)
+
+	// Dense churn: remove every item and add 500 new ones, touching
+	// nearly every word.
+	for i := 0; i < 500; i++ {
+		if _, err := f.Store().Remove(item(i)); err != nil {
+			t.Fatal(err)
+		}
+		f.Store().Add(item(500 + i))
+	}
+	body, hdr := fetch(hdr.Get("ETag"))
+	if frame := hdr.Get(service.HeaderDigestFrame); frame != "full" || len(body) != fullLen {
+		t.Fatalf("dense churn: %q frame of %d bytes, want the %d-byte full envelope", frame, len(body), fullLen)
+	}
+
+	// Sparse churn against the envelope just served: a small delta.
+	f.Store().Add(item(2000))
+	body, hdr = fetch(hdr.Get("ETag"))
+	if frame := hdr.Get(service.HeaderDigestFrame); frame != "delta" || len(body)*10 > fullLen {
+		t.Fatalf("sparse churn: %q frame of %d bytes, want a delta under a tenth of %d", frame, len(body), fullLen)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"evilbloom/internal/cachedigest"
 	"evilbloom/internal/core"
 	"evilbloom/internal/hashes"
 	"evilbloom/internal/urlgen"
@@ -357,4 +358,62 @@ func BenchmarkRemove(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchFrame is a package-level sink so the compiler keeps the exchange.
+var benchFrame []byte
+
+// BenchmarkDigestExchange measures one sealed mesh poll at the
+// durable-churn geometry: 8 shards × 2^18 4-bit counters, k = 7, 2^15
+// items live, and 10k items of churn (5k removes of the oldest live items,
+// 5k adds of new ones) between polls. Only the exchange and its seal are
+// timed; frame-B/op is the sealed frame the peer receives.
+func BenchmarkDigestExchange(b *testing.B) {
+	const live, churn = 1 << 15, 5000
+	s, err := NewSharded(Config{
+		Variant:      VariantCounting,
+		Shards:       8,
+		ShardBits:    1 << 18,
+		HashCount:    7,
+		Seed:         3,
+		CounterWidth: 4,
+		RouteKey:     []byte("fedcba9876543210"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := urlgen.New(42)
+	ring := make([][]byte, live)
+	for i := range ring {
+		ring[i] = gen.Next()
+		s.Add(ring[i])
+	}
+	key := []byte("bench-mesh-secret")
+	blob, have, _, _, err := s.DigestExchange("", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frameBytes int
+	pos := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < churn; j++ {
+			if _, err := s.Remove(ring[pos]); err != nil {
+				b.Fatal(err)
+			}
+			ring[pos] = gen.Next()
+			s.Add(ring[pos])
+			pos = (pos + 1) % live
+		}
+		b.StartTimer()
+		blob, have, _, _, err = s.DigestExchange(have, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFrame = cachedigest.Seal(blob, key)
+		frameBytes += len(benchFrame)
+	}
+	b.ReportMetric(float64(frameBytes)/float64(b.N), "frame-B/op")
 }

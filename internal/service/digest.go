@@ -89,19 +89,21 @@ func (s *Sharded) DigestEnvelope() ([]byte, uint64, error) {
 // downstream per filter per node, and a second delta-capable peer whose ACK
 // doesn't match the baseline simply falls back to a full envelope.
 type digestBaseline struct {
-	etag  string
-	gen   uint64
-	words [][]uint64 // per shard, the backing words of the served digest
+	etag string
+	gen  uint64
+	bits []*bitset.BitSet // per shard, the occupancy of the served digest
 }
 
 // DigestExchange is DigestEnvelope's mesh-aware sibling: haveETag is the
 // digest ETag the peer says it holds (its last ACK) and deltaCapable is
 // whether it can apply a delta frame. When the ACK matches the retained
-// baseline the exchange ships only the changed words (isDelta true); any
-// mismatch — first exchange, generation gap, restart, a different peer's
-// ACK — falls back to the full envelope. Correctness never depends on the
-// baseline: a delta is only ever diffed against content the peer proved it
-// holds by echoing the exact ETag it was served.
+// baseline the exchange ships only the changed words (isDelta true) —
+// unless that delta would be no smaller than the full envelope, which is
+// then served instead. Any mismatch — first exchange, generation gap,
+// restart, a different peer's ACK — falls back to the full envelope.
+// Either way the served content becomes the new baseline. Correctness
+// never depends on the baseline: a delta is only ever diffed against
+// content the peer proved it holds by echoing the exact ETag it was served.
 func (s *Sharded) DigestExchange(haveETag string, deltaCapable bool) (blob []byte, etag string, gen uint64, isDelta bool, err error) {
 	if s.mode == ModeHardened {
 		return nil, "", 0, false, ErrDigestUnexportable
@@ -121,44 +123,63 @@ func (s *Sharded) DigestExchange(haveETag string, deltaCapable bool) (blob []byt
 	}
 	gen = info.Generation
 	etag = s.DigestETag(gen)
-	wordsPerShard := int((s.mShard + 63) / 64)
-	words := make([][]uint64, len(bits))
-	for i, bs := range bits {
-		words[i] = make([]uint64, bs.Words())
-		for j := range words[i] {
-			words[i][j] = bs.Word(j)
-		}
-	}
 	base := s.deltaBase
 	if base != nil && haveETag != "" && base.etag == haveETag {
-		var changed []cachedigest.DeltaWord
-		for si := range words {
-			for wi, w := range words[si] {
-				if w != base.words[si][wi] {
-					changed = append(changed, cachedigest.DeltaWord{
-						Index: uint64(si)*uint64(wordsPerShard) + uint64(wi),
-						Value: w,
-					})
-				}
-			}
-		}
-		frame, derr := cachedigest.EncodeDelta(cachedigest.DeltaInfo{
-			BaseGeneration: base.gen,
-			NewGeneration:  gen,
-			NewCount:       info.Count,
-			TotalWords:     uint64(len(bits)) * uint64(wordsPerShard),
-		}, changed)
-		if derr == nil {
-			s.deltaBase = &digestBaseline{etag: etag, gen: gen, words: words}
+		frame, derr := encodeDelta(base, info, bits)
+		if derr == nil && frame != nil {
+			s.deltaBase = &digestBaseline{etag: etag, gen: gen, bits: bits}
 			return frame, etag, gen, true, nil
 		}
-		// An unencodable delta (should not happen) degrades to a full
-		// envelope rather than failing the exchange.
+		// A delta no smaller than the envelope (dense churn), or an
+		// unencodable one (should not happen), ships the full envelope
+		// rather than failing the exchange.
 	}
 	blob, err = cachedigest.EncodeEnvelope(info, bits)
 	if err != nil {
 		return nil, "", 0, false, err
 	}
-	s.deltaBase = &digestBaseline{etag: etag, gen: gen, words: words}
+	s.deltaBase = &digestBaseline{etag: etag, gen: gen, bits: bits}
 	return blob, etag, gen, false, nil
+}
+
+// smallDigestBytes is the envelope size below which a matching ACK always
+// earns a delta frame. The bytes a full envelope could save are bounded by
+// the envelope itself, under a page here, and a receiver on the delta path
+// patches its held digest in place of rebuilding one from an envelope.
+const smallDigestBytes = 4096
+
+// encodeDelta diffs bits against the baseline and returns the delta frame,
+// or nil when the frame would be no smaller than a full envelope of at
+// least smallDigestBytes. The changed words are counted first, so the
+// full-envelope case builds no list and the delta case sizes it once.
+func encodeDelta(base *digestBaseline, info cachedigest.EnvelopeInfo, bits []*bitset.BitSet) ([]byte, error) {
+	n := 0
+	for si, bs := range bits {
+		for wi := 0; wi < bs.Words(); wi++ {
+			if bs.Word(wi) != base.bits[si].Word(wi) {
+				n++
+			}
+		}
+	}
+	if full := info.EnvelopeSize(); full >= smallDigestBytes && cachedigest.DeltaSize(cachedigest.DeltaInfo{Words: n}) >= full {
+		return nil, nil
+	}
+	wordsPerShard := (info.ShardBits + 63) / 64
+	changed := make([]cachedigest.DeltaWord, 0, n)
+	for si, bs := range bits {
+		for wi := 0; wi < bs.Words(); wi++ {
+			if w := bs.Word(wi); w != base.bits[si].Word(wi) {
+				changed = append(changed, cachedigest.DeltaWord{
+					Index: uint64(si)*wordsPerShard + uint64(wi),
+					Value: w,
+				})
+			}
+		}
+	}
+	return cachedigest.EncodeDelta(cachedigest.DeltaInfo{
+		BaseGeneration: base.gen,
+		NewGeneration:  info.Generation,
+		NewCount:       info.Count,
+		TotalWords:     uint64(len(bits)) * wordsPerShard,
+	}, changed)
 }
